@@ -32,6 +32,8 @@
 //! `<base>-<policy>.chrome.json` (Chrome `trace_event` format, loadable in
 //! Perfetto / `chrome://tracing`), plus the critical-path blame table.
 //! `--trace-sample <rate>` traces that fraction of requests (default 1).
+//! `run` and `replay` reject an `--out`, `--trace` or `--record-workload`
+//! path whose parent directory does not exist before simulating anything.
 //!
 //! ## Record → replay
 //!
@@ -206,6 +208,16 @@ impl EmitFlags {
         if flags.trace_sample.is_some() && flags.trace_base.is_none() {
             return Err("--trace-sample requires --trace <path>".into());
         }
+        // Fail before any simulation runs, not after every policy has.
+        for (flag, path) in [
+            ("--out", &flags.out_dir),
+            ("--trace", &flags.trace_base),
+            ("--record-workload", &flags.record_workload),
+        ] {
+            if let Some(path) = path {
+                check_parent_dir(flag, path)?;
+            }
+        }
         Ok(flags)
     }
 
@@ -250,6 +262,17 @@ impl EmitFlags {
                 config.trace.sample = rate;
             }
         }
+    }
+}
+
+/// Rejects an output path whose parent directory does not exist.
+fn check_parent_dir(flag: &str, path: &str) -> Result<(), String> {
+    match Path::new(path).parent() {
+        Some(dir) if !dir.as_os_str().is_empty() && !dir.is_dir() => Err(format!(
+            "{flag} {path}: directory {} does not exist",
+            dir.display()
+        )),
+        _ => Ok(()),
     }
 }
 

@@ -33,7 +33,10 @@
 //!     enqueued_at: now,
 //! };
 //! sched.enqueue(op, now);
-//! assert_eq!(sched.dequeue(now).unwrap().tag.op.request, RequestId(1));
+//! let (picked, decision) = sched.dequeue(now).unwrap();
+//! assert_eq!(picked.tag.op.request, RequestId(1));
+//! // One op queued: DAS falls back to FCFS order and serves the oldest.
+//! assert_eq!(decision.position, 0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,6 +51,8 @@ pub mod das;
 pub mod policy;
 pub mod rein;
 pub mod scheduler;
+#[cfg(test)]
+mod tests_das_order;
 #[cfg(test)]
 mod tests_edge;
 pub mod types;

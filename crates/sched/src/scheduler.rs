@@ -52,6 +52,19 @@ pub struct DequeueDecision {
     pub queue_len: u32,
 }
 
+impl DequeueDecision {
+    /// The decision of a discipline that serves the head of its own
+    /// ordering (it does not track arrival-order positions), taken from a
+    /// queue of `queue_len` ops.
+    pub fn policy_order(queue_len: usize) -> Self {
+        DequeueDecision {
+            rule: DequeueRule::PolicyOrder,
+            position: 0,
+            queue_len: queue_len as u32,
+        }
+    }
+}
+
 /// A per-server, non-preemptive queue discipline.
 pub trait Scheduler: Send {
     /// Stable machine-readable name (used as the row label in every table).
@@ -60,31 +73,10 @@ pub trait Scheduler: Send {
     /// Adds an operation to the wait queue.
     fn enqueue(&mut self, op: QueuedOp, now: SimTime);
 
-    /// Removes and returns the next operation to serve, or `None` if the
-    /// queue is empty.
-    fn dequeue(&mut self, now: SimTime) -> Option<QueuedOp>;
-
-    /// [`Scheduler::dequeue`] plus an explanation of the decision, for the
-    /// tracing layer. Must pick **exactly** the op `dequeue` would have
-    /// picked — the engine switches between the two based on whether
-    /// tracing is on, and simulation results must not change.
-    ///
-    /// The default delegates to `dequeue` and reports
-    /// [`DequeueRule::PolicyOrder`] with position 0 (head-of-own-ordering
-    /// disciplines don't track arrival-order positions). DAS overrides it
-    /// to report which of its rules fired and where the op sat.
-    fn dequeue_explained(&mut self, now: SimTime) -> Option<(QueuedOp, DequeueDecision)> {
-        let queue_len = self.len() as u32;
-        let op = self.dequeue(now)?;
-        Some((
-            op,
-            DequeueDecision {
-                rule: DequeueRule::PolicyOrder,
-                position: 0,
-                queue_len,
-            },
-        ))
-    }
+    /// Removes and returns the next operation to serve together with why
+    /// it was picked, or `None` if the queue is empty. The engine records
+    /// the decision only while tracing; building it must stay cheap.
+    fn dequeue(&mut self, now: SimTime) -> Option<(QueuedOp, DequeueDecision)>;
 
     /// Number of queued operations.
     fn len(&self) -> usize;
@@ -127,7 +119,7 @@ pub trait Scheduler: Send {
     /// repeatedly dequeues, which is correct for any discipline.
     fn drain(&mut self, now: SimTime) -> Vec<QueuedOp> {
         let mut out = Vec::with_capacity(self.len());
-        while let Some(op) = self.dequeue(now) {
+        while let Some((op, _)) = self.dequeue(now) {
             out.push(op);
         }
         out
@@ -197,11 +189,13 @@ impl KeyedQueue {
         self.heap.push(Entry { key, seq, op });
     }
 
-    /// Removes the lowest-key (oldest on ties) operation.
-    pub fn pop(&mut self) -> Option<QueuedOp> {
+    /// Removes the lowest-key (oldest on ties) operation, with its
+    /// [`DequeueDecision::policy_order`] decision.
+    pub fn pop(&mut self) -> Option<(QueuedOp, DequeueDecision)> {
+        let decision = DequeueDecision::policy_order(self.len());
         let e = self.heap.pop()?;
         self.queued_work = self.queued_work.saturating_sub(e.op.local_estimate);
-        Some(e.op)
+        Some((e.op, decision))
     }
 
     /// Number of queued ops.
@@ -250,9 +244,9 @@ mod tests {
         q.push(5, op(1, 0, 10, t));
         q.push(3, op(2, 0, 10, t));
         q.push(5, op(3, 0, 10, t));
-        assert_eq!(q.pop().unwrap().tag.op.request, RequestId(2));
-        assert_eq!(q.pop().unwrap().tag.op.request, RequestId(1));
-        assert_eq!(q.pop().unwrap().tag.op.request, RequestId(3));
+        assert_eq!(q.pop().unwrap().0.tag.op.request, RequestId(2));
+        assert_eq!(q.pop().unwrap().0.tag.op.request, RequestId(1));
+        assert_eq!(q.pop().unwrap().0.tag.op.request, RequestId(3));
         assert!(q.pop().is_none());
     }
 
@@ -266,8 +260,18 @@ mod tests {
             for i in 0..5 {
                 s.enqueue(op(i, 0, 10 * (i + 1), t), t);
             }
+            // Every decision reports the queue length before its removal.
+            for _ in 0..2 {
+                let before = s.len();
+                let (_, d) = s.dequeue(t).unwrap();
+                assert_eq!(d.queue_len as usize, before, "{}", s.name());
+                assert!(d.position < d.queue_len, "{}", s.name());
+            }
+            for i in 5..8 {
+                s.enqueue(op(i, 0, 10 * (i + 1), t), t);
+            }
             let drained = s.drain(t);
-            assert_eq!(drained.len(), 5, "{}", s.name());
+            assert_eq!(drained.len(), 6, "{}", s.name());
             assert!(s.is_empty(), "{}", s.name());
             assert_eq!(s.queued_work(), SimDuration::ZERO, "{}", s.name());
             assert!(s.drain(t).is_empty());

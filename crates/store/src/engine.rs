@@ -16,7 +16,7 @@ use das_metrics::summary::LatencySummary;
 use das_metrics::timeseries::TimeSeries;
 use das_net::accounting::{wire, TrafficAccounting, TrafficClass};
 use das_net::latency::NetworkModel;
-use das_sched::scheduler::DequeueDecision;
+use das_net::{LinkFaults, MessageFate};
 use das_sched::types::{HintUpdate, OpId, OpTag, QueuedOp, RequestId, ServerId, ServerReport};
 use das_sim::dist::{Lognormal, Sample};
 use das_sim::queue::EventQueue;
@@ -307,6 +307,14 @@ impl OverloadRuntime {
     fn is_shed(&self, request: RequestId) -> bool {
         self.shed_requests.contains(&request)
     }
+}
+
+/// The fate of one message on `links`: drawn from the fault stream in
+/// fault mode; fault-free runs get [`MessageFate::CLEAN`] and draw nothing.
+fn message_fate(fault: &mut Option<FaultRuntime>, links: &LinkFaults) -> MessageFate {
+    fault
+        .as_mut()
+        .map_or(MessageFate::CLEAN, |fr| links.decide(&mut fr.rng))
 }
 
 /// Runs one simulation over `requests` (which must arrive in
@@ -966,33 +974,26 @@ impl<'a> Engine<'a> {
                     bytes: req_bytes,
                 });
             }
-            if self.fault.is_some() {
+            let fate = message_fate(&mut self.fault, &self.config.faults.request_faults);
+            self.deliver_op(tag, server, req_bytes, fate, now);
+            if let Some(mut fr) = self.fault.take() {
                 let candidates = candidate_sets
                     .iter()
                     .find(|(s, _)| *s == server)
                     .map(|(_, set)| set.clone())
                     .filter(|set| !set.is_empty())
                     .unwrap_or_else(|| vec![server]);
-                self.dispatch_first_attempt(
-                    tag,
+                self.open_first_attempt(
+                    &mut fr,
+                    op_id,
                     server,
                     candidates,
                     keys,
                     written,
                     service_est,
-                    req_bytes,
                     now,
                 );
-            } else {
-                let delay = self.net.delay(req_bytes, &mut self.net_rng);
-                let op = QueuedOp {
-                    tag,
-                    local_estimate: tag.local_estimate,
-                    // Stamped on arrival at the server (see OpArrival).
-                    enqueued_at: now + delay,
-                };
-                self.queue
-                    .schedule(now + delay, Event::OpArrival { server, op });
+                self.fault = Some(fr);
             }
             ops.push(PendingOp {
                 server,
@@ -1019,36 +1020,45 @@ impl<'a> Engine<'a> {
         self.accepted += 1;
     }
 
-    /// Fault-mode initial dispatch of one op: delivery by link fate,
-    /// attempt tracking, deadline, and (for hedgeable reads) the hedge
-    /// timer. The wire/coordinator charges were already applied by
-    /// `handle_request`.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_first_attempt(
+    /// Puts `fate.copies` copies of an op on the wire to `server`; each
+    /// arrives after the network delay plus the fate's extra delay.
+    fn deliver_op(
         &mut self,
         tag: OpTag,
         server: ServerId,
-        candidates: Vec<ServerId>,
-        keys: u32,
-        written: u64,
-        service_est: f64,
         req_bytes: u64,
+        fate: MessageFate,
         now: SimTime,
     ) {
-        // das-lint: allow(unwrap-lib): fault state is only taken within one handler at a time
-        let mut fr = self.fault.take().expect("fault mode");
-        let op_id = tag.op;
-        let fate = self.config.faults.request_faults.decide(&mut fr.rng);
         for _ in 0..fate.copies {
             let delay = self.net.delay(req_bytes, &mut self.net_rng) + fate.extra_delay;
             let op = QueuedOp {
                 tag,
                 local_estimate: tag.local_estimate,
+                // Stamped on arrival at the server (see OpArrival).
                 enqueued_at: now + delay,
             };
             self.queue
                 .schedule(now + delay, Event::OpArrival { server, op });
         }
+    }
+
+    /// Fault-mode bookkeeping for an op's first dispatch: attempt
+    /// tracking, deadline, and (for hedgeable reads) the hedge timer. The
+    /// op is already on the wire and the wire/coordinator charges were
+    /// applied by `handle_request`.
+    #[allow(clippy::too_many_arguments)]
+    fn open_first_attempt(
+        &mut self,
+        fr: &mut FaultRuntime,
+        op_id: OpId,
+        server: ServerId,
+        candidates: Vec<ServerId>,
+        keys: u32,
+        written: u64,
+        service_est: f64,
+        now: SimTime,
+    ) {
         let mut rt = OpRuntime {
             candidates,
             keys,
@@ -1089,7 +1099,6 @@ impl<'a> Engine<'a> {
             }
         }
         fr.ops.insert(op_id, rt);
-        self.fault = Some(fr);
     }
 
     /// Re-dispatch (retry) or speculative duplicate (hedge) of one op to
@@ -1181,16 +1190,7 @@ impl<'a> Engine<'a> {
             });
         }
         let fate = self.config.faults.request_faults.decide(&mut fr.rng);
-        for _ in 0..fate.copies {
-            let delay = self.net.delay(req_bytes, &mut self.net_rng) + fate.extra_delay;
-            let op = QueuedOp {
-                tag,
-                local_estimate: tag.local_estimate,
-                enqueued_at: now + delay,
-            };
-            self.queue
-                .schedule(now + delay, Event::OpArrival { server, op });
-        }
+        self.deliver_op(tag, server, req_bytes, fate, now);
         let retry = &self.config.faults.retry;
         if retry.enabled() {
             self.queue.schedule(
@@ -1231,46 +1231,33 @@ impl<'a> Engine<'a> {
                     cluster.per_op_overhead.as_secs_f64() + bytes as f64 / rate,
                 )
             };
-            // The explained variant picks the exact same op; the decision
-            // record exists only when tracing wants it.
-            let started: Option<(QueuedOp, SimTime, Option<DequeueDecision>)> =
-                if self.trace.is_some() {
-                    s.try_start_service_explained(now, service_of)
-                        .map(|(op, end, d)| (op, end, Some(d)))
-                } else {
-                    s.try_start_service(now, service_of).map(|(op, end)| (op, end, None))
-                };
-            match started {
-                Some((op, end, decision)) => {
-                    let incarnation = self.servers[server.0 as usize].incarnation();
-                    self.queue.schedule(
-                        end,
-                        Event::ServiceDone {
-                            server,
-                            op: op.tag.op,
-                            bytes: served.response,
-                            service: end.saturating_since(now),
-                            incarnation,
-                        },
-                    );
-                    if let Some(d) = decision {
-                        if self.traced(op.tag.op.request) {
-                            self.trace_event(TraceEvent::SchedDecision {
-                                t_ns: now.as_nanos(),
-                                request: op.tag.op.request.0,
-                                op: op.tag.op.index,
-                                server: server.0,
-                                rule: d.rule.as_str().to_string(),
-                                position: d.position,
-                                queue_len: d.queue_len,
-                            });
-                        }
-                    }
-                    if self.overload.is_some() {
-                        self.maybe_batch(server, op.tag.op, served.service, end, incarnation, now);
-                    }
-                }
-                None => return,
+            let Some((op, end, decision)) = s.try_start_service(now, service_of) else {
+                return;
+            };
+            let incarnation = self.servers[server.0 as usize].incarnation();
+            self.queue.schedule(
+                end,
+                Event::ServiceDone {
+                    server,
+                    op: op.tag.op,
+                    bytes: served.response,
+                    service: end.saturating_since(now),
+                    incarnation,
+                },
+            );
+            if self.traced(op.tag.op.request) {
+                self.trace_event(TraceEvent::SchedDecision {
+                    t_ns: now.as_nanos(),
+                    request: op.tag.op.request.0,
+                    op: op.tag.op.index,
+                    server: server.0,
+                    rule: decision.rule.as_str().to_string(),
+                    position: decision.position,
+                    queue_len: decision.queue_len,
+                });
+            }
+            if self.overload.is_some() {
+                self.maybe_batch(server, op.tag.op, served.service, end, incarnation, now);
             }
         }
     }
@@ -1403,20 +1390,7 @@ impl<'a> Engine<'a> {
             });
         }
         if let Some(mut fr) = self.fault.take() {
-            fr.exposed.remove(&request);
-            for index in 0..state.ops.len() {
-                let op_id = OpId {
-                    request,
-                    index: index as u32,
-                };
-                if let Some(rt) = fr.ops.remove(&op_id) {
-                    for a in rt.attempts.iter().filter(|a| a.open) {
-                        self.coord_mut(request)
-                            .estimate_mut(a.server)
-                            .complete_dispatch(a.estimate);
-                    }
-                }
-            }
+            self.close_request(&mut fr, request, state.ops.len());
             self.fault = Some(fr);
         } else {
             for p in state.ops.iter().filter(|p| !p.done) {
@@ -1469,23 +1443,9 @@ impl<'a> Engine<'a> {
         } else {
             None
         };
-        if let Some(mut fr) = self.fault.take() {
-            let fate = self.config.faults.response_faults.decide(&mut fr.rng);
-            for _ in 0..fate.copies {
-                let delay = self.net.delay(resp_bytes, &mut self.net_rng) + fate.extra_delay;
-                self.queue.schedule(
-                    now + delay,
-                    Event::ResponseArrival {
-                        op,
-                        server,
-                        service,
-                        report,
-                    },
-                );
-            }
-            self.fault = Some(fr);
-        } else {
-            let delay = self.net.delay(resp_bytes, &mut self.net_rng);
+        let fate = message_fate(&mut self.fault, &self.config.faults.response_faults);
+        for _ in 0..fate.copies {
+            let delay = self.net.delay(resp_bytes, &mut self.net_rng) + fate.extra_delay;
             self.queue.schedule(
                 now + delay,
                 Event::ResponseArrival {
@@ -1517,35 +1477,31 @@ impl<'a> Engine<'a> {
             }
             return;
         }
-        if let Some(mut fr) = self.fault.take() {
-            let accepted = self.accept_response(&mut fr, op, server, service, now);
-            self.fault = Some(fr);
-            if self.traced(op.request) {
-                self.trace_event(TraceEvent::OpResponse {
-                    t_ns: now.as_nanos(),
-                    request: op.request.0,
-                    op: op.index,
-                    server: server.0,
-                    accepted,
-                });
+        let accepted = match self.fault.take() {
+            Some(mut fr) => {
+                let accepted = self.accept_response(&mut fr, op, server, service, now);
+                self.fault = Some(fr);
+                accepted
             }
-            if !accepted {
-                return;
+            None => {
+                self.op_bytes.remove(&op);
+                if let Some(ov) = &mut self.overload {
+                    ov.goodput_service_secs += service.as_secs_f64();
+                }
+                true
             }
-        } else {
-            self.op_bytes.remove(&op);
-            if let Some(ov) = &mut self.overload {
-                ov.goodput_service_secs += service.as_secs_f64();
-            }
-            if self.traced(op.request) {
-                self.trace_event(TraceEvent::OpResponse {
-                    t_ns: now.as_nanos(),
-                    request: op.request.0,
-                    op: op.index,
-                    server: server.0,
-                    accepted: true,
-                });
-            }
+        };
+        if self.traced(op.request) {
+            self.trace_event(TraceEvent::OpResponse {
+                t_ns: now.as_nanos(),
+                request: op.request.0,
+                op: op.index,
+                server: server.0,
+                accepted,
+            });
+        }
+        if !accepted {
+            return;
         }
         let wants_hints = self.wants_hints;
         // Phase 1: update the owning coordinator's request state and
@@ -1883,14 +1839,21 @@ impl<'a> Engine<'a> {
             return;
         };
         fr.stats.aborted += 1;
-        fr.exposed.remove(&request);
         if self.traced(request) {
             self.trace_event(TraceEvent::RequestAbort {
                 t_ns: now.as_nanos(),
                 request: request.0,
             });
         }
-        for index in 0..state.ops.len() {
+        self.close_request(fr, request, state.ops.len());
+    }
+
+    /// Fault-mode teardown shared by aborts and queue sheds: forgets the
+    /// request's exposure, removes its `ops` op runtimes, and releases the
+    /// outstanding charges of their still-open attempts.
+    fn close_request(&mut self, fr: &mut FaultRuntime, request: RequestId, ops: usize) {
+        fr.exposed.remove(&request);
+        for index in 0..ops {
             let op_id = OpId {
                 request,
                 index: index as u32,
